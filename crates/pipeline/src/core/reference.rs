@@ -11,6 +11,9 @@
 //!   selection and tick path;
 //! - no process-wide warm-state cache — the warm-up stream is rebuilt from
 //!   scratch for every run;
+//! - no process-wide jitter tapes — every clock computes its jitter and
+//!   PLL lock-time draws from a private generator
+//!   ([`DomainClock::use_private_stream`](mcd_time::DomainClock::use_private_stream));
 //! - no incremental operating-point bookkeeping — cached frequencies,
 //!   voltages, periods and the §2.2 synchronization-window matrix are
 //!   recomputed wholesale from the clocks after every edge.
@@ -87,6 +90,11 @@ impl Pipeline {
             self.l1d = state.l1d;
             self.l2 = state.l2;
             self.bpred = state.bpred;
+        }
+        // Every jitter and PLL lock-time draw is computed from the clock's
+        // own generator — the process-wide tape is another shortcut.
+        for clock in &mut self.clocks {
+            clock.use_private_stream();
         }
         let n_clocks = self.clocks.len();
         let mut pending: Vec<Femtos> = Vec::with_capacity(n_clocks);

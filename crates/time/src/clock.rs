@@ -10,12 +10,18 @@
 //! A clock may optionally be driven by a [`VoltageController`]; pending DVFS
 //! micro-steps are applied as their times come due, and PLL re-lock windows
 //! suppress edges entirely (the domain is idle).
+//!
+//! After the phase draw, every random number a clock consumes is a standard
+//! normal (jitter and PLL lock times), read from the process-wide tape of
+//! its generator state ([`tape`](crate::tape)) unless the clock was
+//! switched to a private generator with [`DomainClock::use_private_stream`].
 
 use crate::dvfs::VoltageController;
 use crate::femtos::Femtos;
 use crate::freq::{Frequency, Voltage};
 use crate::jitter::JitterModel;
 use crate::rng::SimRng;
+use crate::tape::NormalStream;
 use crate::vf::VfTable;
 
 /// A single rising clock edge.
@@ -43,7 +49,7 @@ pub struct ClockEvent {
 #[derive(Debug, Clone)]
 pub struct DomainClock {
     jitter: JitterModel,
-    rng: SimRng,
+    normals: NormalStream,
     controller: Option<VoltageController>,
     frequency: Frequency,
     voltage: Voltage,
@@ -73,7 +79,7 @@ impl DomainClock {
         let period_f = frequency.period_femtos_f64();
         DomainClock {
             jitter,
-            rng,
+            normals: NormalStream::shared(rng),
             controller: None,
             frequency,
             voltage: Voltage::NOMINAL,
@@ -154,6 +160,14 @@ impl DomainClock {
         self.last_relock.take()
     }
 
+    /// Computes this clock's remaining random draws with a private
+    /// generator instead of reading them from the process-wide tape. The
+    /// draws themselves are unchanged; the reference interpreter uses this
+    /// so it stays an independent oracle for the tape.
+    pub fn use_private_stream(&mut self) {
+        self.normals.detach();
+    }
+
     /// The DVFS controller, if this clock is scalable.
     pub fn controller(&self) -> Option<&VoltageController> {
         self.controller.as_ref()
@@ -167,7 +181,7 @@ impl DomainClock {
         let Some(mut ctl) = self.controller.take() else {
             return false;
         };
-        ctl.request(now, target, &mut self.rng);
+        ctl.request(now, target, &mut self.normals);
         self.controller = Some(ctl);
         true
     }
@@ -195,7 +209,7 @@ impl DomainClock {
         }
         let j = self
             .jitter
-            .sample(&mut self.rng)
+            .sample(&mut self.normals)
             .clamp(-self.max_jitter, self.max_jitter);
         let advance = (self.period_f + j).max(1.0).round() as u64;
         self.last_edge += Femtos::from_femtos(advance);
@@ -313,6 +327,51 @@ mod tests {
         assert!(next - start <= Femtos::from_micros(21));
         assert!(clk.idle_total() >= Femtos::from_micros(10));
         assert_eq!(clk.frequency(), Frequency::from_mhz(500));
+    }
+
+    #[test]
+    fn tape_backed_and_private_clocks_are_identical_under_transmeta_requests() {
+        // Interleaves jitter draws with PLL lock-time draws, which share the
+        // clock's one normal stream; the private clock detaches before its
+        // first draw, the other only after part of the run.
+        let clock = || {
+            let ctl = VoltageController::new(
+                DvfsModel::Transmeta,
+                VfTable::paper(),
+                PllModel::paper(),
+                Frequency::GHZ,
+            );
+            DomainClock::with_controller(ctl, JitterModel::paper(), 0x5eed_c10c)
+        };
+        let mut taped = clock();
+        let mut private = clock();
+        private.use_private_stream();
+        let targets = [500, 250, 1000, 750, 300, 900];
+        for step in 0..6_000usize {
+            if step == 4_000 {
+                taped.use_private_stream();
+            }
+            if step % 997 == 0 {
+                let target = Frequency::from_mhz(targets[step / 997 % targets.len()]);
+                let now = taped.last_edge();
+                assert_eq!(
+                    taped.request_frequency(now, target),
+                    private.request_frequency(now, target)
+                );
+            }
+            assert_eq!(taped.next_edge(), private.next_edge(), "edge {step}");
+            assert_eq!(taped.voltage(), private.voltage());
+            assert_eq!(taped.idle_total(), private.idle_total());
+            assert_eq!(taped.take_relock(), private.take_relock());
+        }
+        assert!(
+            taped.idle_total() > Femtos::ZERO,
+            "requests re-locked the PLL"
+        );
+        assert_eq!(
+            taped.v2_cycle_sum().to_bits(),
+            private.v2_cycle_sum().to_bits()
+        );
     }
 
     #[test]

@@ -22,7 +22,7 @@ use serde::{Deserialize, Serialize};
 use crate::femtos::Femtos;
 use crate::freq::{Frequency, Voltage};
 use crate::pll::PllModel;
-use crate::rng::SimRng;
+use crate::tape::NormalSource;
 use crate::vf::{FrequencyGrid, OperatingPoint, VfTable};
 
 /// Which DVFS transition model a domain uses.
@@ -248,7 +248,12 @@ impl VoltageController {
     /// Any in-flight plan is first advanced to `now`; its remaining steps are
     /// discarded and the new plan starts from the instantaneous operating
     /// point. Requests for the current frequency produce an empty plan.
-    pub fn request(&mut self, now: Femtos, target: Frequency, rng: &mut SimRng) -> TransitionPlan {
+    pub fn request<R: NormalSource + ?Sized>(
+        &mut self,
+        now: Femtos,
+        target: Frequency,
+        rng: &mut R,
+    ) -> TransitionPlan {
         self.advance_to(now);
         self.plan.clear();
         let from = self.current;
@@ -303,12 +308,12 @@ impl VoltageController {
         }
     }
 
-    fn plan_transmeta(
+    fn plan_transmeta<R: NormalSource + ?Sized>(
         &mut self,
         now: Femtos,
         from: OperatingPoint,
         to: OperatingPoint,
-        rng: &mut SimRng,
+        rng: &mut R,
     ) -> TransitionPlan {
         let step_time = self.model.step_time();
         let steps = self
@@ -381,6 +386,7 @@ impl VoltageController {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     fn ctl(model: DvfsModel) -> VoltageController {
         VoltageController::new(model, VfTable::paper(), PllModel::paper(), Frequency::GHZ)

@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::rng::SimRng;
+use crate::tape::NormalSource;
 
 /// Parameters of the per-cycle jitter distribution.
 ///
@@ -82,7 +82,7 @@ impl JitterModel {
     ///
     /// Samples are clamped to ±3σ, and the caller additionally bounds them to
     /// less than half the current period so edges stay strictly ordered.
-    pub fn sample(&self, rng: &mut SimRng) -> f64 {
+    pub fn sample<R: NormalSource + ?Sized>(&self, rng: &mut R) -> f64 {
         let sd = self.std_dev_femtos();
         if sd == 0.0 {
             return 0.0;
@@ -94,6 +94,7 @@ impl JitterModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn paper_model_is_110ps() {

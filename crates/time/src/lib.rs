@@ -38,6 +38,7 @@ pub mod jitter;
 pub mod pll;
 pub mod rng;
 pub mod sync;
+pub mod tape;
 pub mod vf;
 
 pub use clock::{ClockEvent, DomainClock};
@@ -48,4 +49,5 @@ pub use jitter::JitterModel;
 pub use pll::PllModel;
 pub use rng::SimRng;
 pub use sync::{sync_headroom_entries, sync_latency, sync_visible_at, SyncParams, SyncWindowCache};
+pub use tape::NormalSource;
 pub use vf::{FrequencyGrid, OperatingPoint, VfTable};

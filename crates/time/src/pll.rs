@@ -8,7 +8,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::femtos::Femtos;
-use crate::rng::SimRng;
+use crate::tape::NormalSource;
 
 /// A normally distributed, range-clamped PLL lock-time model.
 ///
@@ -69,7 +69,7 @@ impl PllModel {
     /// The distribution is normal with σ chosen so that ±3σ covers the
     /// min–max range, then clamped to that range (matching the paper's
     /// "mean time of 15 µs and a range of 10–20 µs").
-    pub fn sample_lock_time(&self, rng: &mut SimRng) -> Femtos {
+    pub fn sample_lock_time<R: NormalSource + ?Sized>(&self, rng: &mut R) -> Femtos {
         let half_range = (self.max.as_femtos() - self.min.as_femtos()) as f64 / 2.0;
         let sd = half_range / 3.0;
         let t = rng.normal(self.mean.as_femtos() as f64, sd);
@@ -81,6 +81,7 @@ impl PllModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rng::SimRng;
 
     #[test]
     fn paper_parameters() {

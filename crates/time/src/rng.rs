@@ -27,6 +27,10 @@ pub struct SimRng {
     cached_gaussian: Option<f64>,
 }
 
+/// The complete state of a [`SimRng`]: its four state words plus the bits
+/// of a cached second Gaussian, if any. Equal keys generate equal streams.
+pub(crate) type StreamKey = ([u64; 4], Option<u64>);
+
 fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut z = *state;
@@ -48,6 +52,11 @@ impl SimRng {
             ],
             cached_gaussian: None,
         }
+    }
+
+    /// The generator's complete state, as a registry key.
+    pub(crate) fn stream_key(&self) -> StreamKey {
+        (self.state, self.cached_gaussian.map(f64::to_bits))
     }
 
     /// Derives an independent stream for a named sub-component.

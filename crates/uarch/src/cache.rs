@@ -49,10 +49,15 @@ impl CacheConfig {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero sizes, capacity not a
-    /// multiple of `ways × line`).
+    /// Panics if the geometry is degenerate (zero sizes, a line size or set
+    /// count that is not a power of two).
     pub fn sets(&self) -> u64 {
         assert!(self.size_bytes > 0 && self.line_bytes > 0 && self.ways > 0);
+        assert!(
+            self.line_bytes.is_power_of_two(),
+            "cache line size must be a power of two, got {}",
+            self.line_bytes
+        );
         let per_way = self.size_bytes / (self.ways as u64 * self.line_bytes);
         assert!(
             per_way > 0 && per_way.is_power_of_two(),
@@ -108,29 +113,41 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Set-major: the ways of set `s` are `lines[s * ways..(s + 1) * ways]`.
+    lines: Vec<Line>,
+    ways: usize,
+    /// `log2(line_bytes)`: shifts an address to its line number.
+    line_shift: u32,
+    /// `sets - 1`: masks a line number to its set.
+    set_mask: u64,
+    /// `log2(sets)`: shifts a line number to its tag.
+    set_shift: u32,
     stats: CacheStats,
     tick: u64,
 }
 
 impl Cache {
     /// Builds an empty (all-invalid) cache.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the geometry is degenerate (see [`CacheConfig::sets`]).
     pub fn new(config: CacheConfig) -> Self {
         let sets = config.sets();
+        let ways = config.ways as usize;
+        let invalid = Line {
+            tag: 0,
+            valid: false,
+            dirty: false,
+            lru: 0,
+        };
         Cache {
             config,
-            sets: vec![
-                vec![
-                    Line {
-                        tag: 0,
-                        valid: false,
-                        dirty: false,
-                        lru: 0
-                    };
-                    config.ways as usize
-                ];
-                sets as usize
-            ],
+            lines: vec![invalid; sets as usize * ways],
+            ways,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
+            set_shift: sets.trailing_zeros(),
             stats: CacheStats::default(),
             tick: 0,
         }
@@ -146,11 +163,11 @@ impl Cache {
         self.stats
     }
 
-    fn set_and_tag(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes;
-        let set = (line % self.config.sets()) as usize;
-        let tag = line / self.config.sets();
-        (set, tag)
+    /// The ways of `addr`'s set, and `addr`'s tag.
+    fn set_and_tag(&self, addr: u64) -> (std::ops::Range<usize>, u64) {
+        let line = addr >> self.line_shift;
+        let first = (line & self.set_mask) as usize * self.ways;
+        (first..first + self.ways, line >> self.set_shift)
     }
 
     /// Performs an access; returns `true` on hit. On a miss the line is
@@ -160,7 +177,7 @@ impl Cache {
         self.tick += 1;
         self.stats.accesses += 1;
         let (set, tag) = self.set_and_tag(addr);
-        let ways = &mut self.sets[set];
+        let ways = &mut self.lines[set];
         if let Some(line) = ways.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = self.tick;
             line.dirty |= is_write;
@@ -194,7 +211,7 @@ impl Cache {
     /// Whether `addr` is currently resident (no state change, no stats).
     pub fn probe(&self, addr: u64) -> bool {
         let (set, tag) = self.set_and_tag(addr);
-        self.sets[set].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[set].iter().any(|l| l.valid && l.tag == tag)
     }
 
     /// Clears accumulated statistics (keeps contents) — used after cache
@@ -205,11 +222,9 @@ impl Cache {
 
     /// Invalidates everything (keeps statistics).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for line in set {
-                line.valid = false;
-                line.dirty = false;
-            }
+        for line in &mut self.lines {
+            line.valid = false;
+            line.dirty = false;
         }
     }
 }

@@ -144,8 +144,11 @@ impl LoadStoreQueue {
     }
 
     fn position(&self, id: LsqEntryId) -> Option<usize> {
-        // Entries are ordered by id; binary search by sequence.
-        self.entries.binary_search_by_key(&id.0, |e| e.id.0).ok()
+        // Ids are allocated consecutively and released only from the
+        // front, so an entry's offset from the front is its id's.
+        let front = self.entries.front()?.id.0;
+        let pos = usize::try_from(id.0.checked_sub(front)?).ok()?;
+        (self.entries.get(pos)?.id == id).then_some(pos)
     }
 
     /// Records the computed effective address of an entry.
@@ -305,6 +308,33 @@ mod tests {
         let _a = lsq.allocate(MemAccessKind::Load).expect("space");
         let b = lsq.allocate(MemAccessKind::Store).expect("space");
         lsq.release_oldest(b);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry is in the queue")]
+    fn released_id_panics() {
+        let mut lsq = LoadStoreQueue::new(4);
+        let a = lsq.allocate(MemAccessKind::Store).expect("space");
+        let _b = lsq.allocate(MemAccessKind::Load).expect("space");
+        lsq.release_oldest(a);
+        lsq.set_address(a, 0x40);
+    }
+
+    #[test]
+    #[should_panic(expected = "entry is in the queue")]
+    fn never_allocated_id_panics() {
+        let mut lsq = LoadStoreQueue::new(4);
+        let _a = lsq.allocate(MemAccessKind::Load).expect("space");
+        lsq.load_status(LsqEntryId(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "entry is in the queue")]
+    fn id_in_an_empty_queue_panics() {
+        let mut lsq = LoadStoreQueue::new(4);
+        let a = lsq.allocate(MemAccessKind::Store).expect("space");
+        lsq.release_oldest(a);
+        lsq.address_of(a);
     }
 
     #[test]
